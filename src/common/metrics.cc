@@ -1,6 +1,6 @@
 #include "common/metrics.h"
 
-#include <cmath>
+#include <algorithm>
 
 #include "common/strings.h"
 
@@ -8,17 +8,23 @@ namespace prairie::common {
 
 double HistogramSnapshot::Percentile(double p) const {
   if (count == 0) return 0;
-  if (p < 0) p = 0;
-  if (p > 100) p = 100;
-  const uint64_t rank = static_cast<uint64_t>(
-      std::ceil(p / 100.0 * static_cast<double>(count)));
-  const uint64_t target = rank == 0 ? 1 : rank;
-  uint64_t cumulative = 0;
+  const double rank = std::clamp(p, 0.0, 100.0) / 100.0 *
+                      static_cast<double>(count);
+  uint64_t before = 0;
+  size_t last = 0;
   for (size_t i = 0; i < counts.size(); ++i) {
-    cumulative += counts[i];
-    if (cumulative >= target) return static_cast<double>(UpperBound(i));
+    if (counts[i] == 0) continue;
+    last = i;
+    const uint64_t through = before + counts[i];
+    if (static_cast<double>(through) >= rank) {
+      const double lo = static_cast<double>(LowerBound(i));
+      const double hi = static_cast<double>(UpperBound(i));
+      return lo + (hi - lo) * (rank - static_cast<double>(before)) /
+                      static_cast<double>(counts[i]);
+    }
+    before = through;
   }
-  return static_cast<double>(UpperBound(counts.size() - 1));
+  return static_cast<double>(UpperBound(last));
 }
 
 HistogramSnapshot Histogram::Snapshot() const {

@@ -101,10 +101,18 @@ struct HistogramSnapshot {
   static uint64_t UpperBound(size_t i) {
     return i == 0 ? 0 : (uint64_t{1} << i) - 1;
   }
+  /// Lower bound (inclusive) of bucket `i`: 0 for bucket 0, 2^(i-1)
+  /// otherwise.
+  static uint64_t LowerBound(size_t i) {
+    return i == 0 ? 0 : uint64_t{1} << (i - 1);
+  }
 
-  /// The p-th percentile (p in [0, 100]) as the upper bound of the first
-  /// bucket whose cumulative count reaches ceil(p/100 * count). Log-2
-  /// buckets bound the overestimate to 2x the true value. 0 when empty.
+  /// The p-th percentile (p in [0, 100]). The fractional rank
+  /// p/100 * count falls in one bucket; the value is interpolated linearly
+  /// by rank between that bucket's lower and upper bound, as if its
+  /// samples were spread evenly. So p0 is the lower bound of the smallest
+  /// occupied bucket and p100 the upper bound of the largest. 0 when
+  /// empty.
   double Percentile(double p) const;
 };
 

@@ -399,7 +399,8 @@ Status Optimizer::ExpandGroup(GroupId gid, bool* partial) {
       gid = memo_->Find(gid);
       Group* grp = &memo_->group(gid);
       if (ei >= grp->exprs.size()) break;
-      if (grp->exprs[ei].is_file) continue;
+      // A twin's earlier copy gets every rule application it would.
+      if (grp->exprs[ei].is_file || grp->exprs[ei].twin) continue;
       // Only rules whose LHS root is this expression's operator can match;
       // the dispatch index skips the rest of the rule vector. (An
       // expression's operator never changes in place — merges that move
@@ -539,6 +540,7 @@ Status Optimizer::MatchChildren(const PatNode& pat,
     GroupId rep = memo_->Find(cg);
     const Group& cgrp = memo_->group(rep);
     if (ci >= static_cast<int>(cgrp.exprs.size())) break;
+    if (cgrp.exprs[static_cast<size_t>(ci)].twin) continue;
     auto next = [&]() -> Status {
       return MatchChildren(pat, child_groups, k + 1, binding, emit, aborted,
                            partial, epoch);
@@ -687,6 +689,9 @@ Result<Winner> Optimizer::OptimizeGroup(GroupId gid, const Descriptor& req,
     GroupId rep = memo_->Find(gid);
     Group& grp = memo_->group(rep);
     if (ei >= grp.exprs.size()) break;
+    // Strict `<` keeps the earlier of two equal-cost alternatives, so a
+    // twin can never displace the winner its earlier copy yields.
+    if (grp.exprs[ei].twin) continue;
     if (grp.exprs[ei].is_file) {
       // A stored file is a zero-cost source; RET-class algorithms read it
       // directly, so any requirement is trivially satisfied here.

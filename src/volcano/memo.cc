@@ -1,6 +1,8 @@
 #include "volcano/memo.h"
 
+#include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "common/hash.h"
 #include "common/strings.h"
@@ -113,6 +115,7 @@ Result<GroupId> Memo::NewGroupLocked(MExpr m, algebra::DescriptorId desc,
   g.stream_desc = desc;
   m.applied.EnsureCapacity(static_cast<int>(rules_->trans_rules.size()));
   g.exprs.EmplaceBack(std::move(m));
+  if (!concurrent()) LinkParents(id, g.exprs[0]);
   num_exprs_.fetch_add(1, std::memory_order_relaxed);
   tally_.groups_created.fetch_add(1, std::memory_order_relaxed);
   tally_.exprs_inserted.fetch_add(1, std::memory_order_relaxed);
@@ -171,6 +174,11 @@ Result<bool> Memo::AppendExpr(GroupId g, MExpr m, uint64_t key,
   std::unique_lock<std::mutex> glock(grp.mu, std::defer_lock);
   if (concurrent()) glock.lock();
   const int idx = static_cast<int>(grp.exprs.size());
+  // The caller's index probe cannot see a serial group's expressions whose
+  // keys went stale in a merge: an identical one may still be here.
+  m.twin = !concurrent() && grp.stale_keys && FindLiveCopy(grp, m) >= 0;
+  if (m.twin) tally_.exprs_deduped.fetch_add(1, std::memory_order_relaxed);
+  if (!concurrent()) LinkParents(g, m);
   m.applied.EnsureCapacity(static_cast<int>(rules_->trans_rules.size()));
   grp.exprs.EmplaceBack(std::move(m));
   num_exprs_.fetch_add(1, std::memory_order_relaxed);
@@ -224,8 +232,8 @@ Result<bool> Memo::InsertInto(GroupId g, MExpr m) {
           return false;
         }
         if (dup2 < 0) return AppendExpr(g, std::move(m), key, sh);
-        // A twin appeared in another group; fall through to the merge path
-        // after releasing the shared merge lock.
+        // An identical expression appeared in another group; fall through
+        // to the merge path after releasing the shared merge lock.
       }
     }
     // The expression exists in another group: g and that group are
@@ -269,7 +277,13 @@ Status Memo::Merge(GroupId keep, GroupId lose) {
     const uint64_t key = KeyOf(m);
     IndexShard& sh = shards_[ShardOf(key)];
     const GroupId dup = FindDup(sh, key, m);
-    if (dup == keep) {
+    // The probe misses a serial keeper's copy whose index key went stale:
+    // drop `m` as its duplicate and index the copy under the current key.
+    const int copy = dup < 0 && !concurrent() && kg.stale_keys
+                         ? FindLiveCopy(kg, m)
+                         : -1;
+    if (copy >= 0) sh.map.emplace(key, std::make_pair(keep, copy));
+    if (dup == keep || copy >= 0) {
       num_exprs_.fetch_sub(1, std::memory_order_relaxed);
       tally_.exprs_deduped.fetch_add(1, std::memory_order_relaxed);
       continue;
@@ -283,7 +297,22 @@ Status Memo::Merge(GroupId keep, GroupId lose) {
     }
     sh.map.emplace(key, std::make_pair(keep, idx));
   }
-  if (!concurrent()) lg.exprs.Clear();
+  if (!concurrent()) {
+    lg.exprs.Clear();
+    // Expressions of the loser's parent groups now resolve `lose` to
+    // `keep`: their index keys are stale, and two of them may have become
+    // identical.
+    std::vector<GroupId> parents = std::exchange(lg.parents, {});
+    kg.parents.insert(kg.parents.end(), parents.begin(), parents.end());
+    for (GroupId& p : parents) p = Find(p);
+    std::sort(parents.begin(), parents.end());
+    parents.erase(std::unique(parents.begin(), parents.end()), parents.end());
+    for (GroupId p : parents) {
+      Group& pg = groups_[static_cast<size_t>(p)];
+      pg.stale_keys = true;
+      FlagTwins(pg);
+    }
+  }
   lg.merged_away.store(true, std::memory_order_release);
   // Winners may no longer be best (new expressions arrived): recompute.
   {
@@ -301,6 +330,47 @@ Status Memo::Merge(GroupId keep, GroupId lose) {
   kg.expanded.store(false, std::memory_order_release);
   merge_epoch_.fetch_add(1, std::memory_order_acq_rel);
   return Status::OK();
+}
+
+void Memo::LinkParents(GroupId g, const MExpr& m) {
+  for (GroupId c : m.children) {
+    std::vector<GroupId>& ps = groups_[static_cast<size_t>(Find(c))].parents;
+    if (ps.empty() || ps.back() != g) ps.push_back(g);
+  }
+}
+
+int Memo::FindLiveCopy(const Group& grp, const MExpr& m) const {
+  for (size_t i = 0; i < grp.exprs.size(); ++i) {
+    if (!grp.exprs[i].twin && SameExpr(grp.exprs[i], m)) {
+      return static_cast<int>(i);
+    }
+  }
+  return -1;
+}
+
+void Memo::FlagTwins(Group& grp) {
+  std::vector<std::pair<uint64_t, uint32_t>> live;  // (key, expr index)
+  for (size_t i = 0; i < grp.exprs.size(); ++i) {
+    if (!grp.exprs[i].twin) {
+      live.emplace_back(KeyOf(grp.exprs[i]), static_cast<uint32_t>(i));
+    }
+  }
+  // Identical expressions share a key; each run of equal keys is in
+  // expression order, so a match flags the later one.
+  std::sort(live.begin(), live.end());
+  for (size_t run = 0; run < live.size();) {
+    size_t end = run + 1;
+    while (end < live.size() && live[end].first == live[run].first) ++end;
+    for (size_t a = run + 1; a < end; ++a) {
+      MExpr& m = grp.exprs[live[a].second];
+      for (size_t b = run; b < a && !m.twin; ++b) {
+        const MExpr& earlier = grp.exprs[live[b].second];
+        m.twin = !earlier.twin && SameExpr(earlier, m);
+      }
+      if (m.twin) tally_.exprs_deduped.fetch_add(1, std::memory_order_relaxed);
+    }
+    run = end;
+  }
 }
 
 std::optional<Winner> Memo::FindWinner(GroupId g,

@@ -46,6 +46,14 @@ namespace prairie::volcano {
 /// \brief A logical multi-expression stored in a group.
 struct MExpr {
   bool is_file = false;
+  /// Serial memos only: this expression is identical (operator, arg_key,
+  /// children under Find) to an earlier expression of its own group. A
+  /// merge makes such twins when it unites two child groups of one parent
+  /// group; the memo flags them (Merge and append) and the engine neither
+  /// expands, binds, nor implements them — the earlier copy covers the
+  /// same bindings and plans. Twins stay in the group, so dumps and
+  /// expression counts are unchanged. DESIGN.md §6.2.
+  bool twin = false;
   algebra::OpId op = -1;
   std::string file;
   /// Full descriptor of this node (interned).
@@ -133,6 +141,15 @@ struct Group {
   /// Winner provenance, same key as `winners`; entries exist only for
   /// winners that carry a plan. Cleared together with `winners` on merge.
   std::unordered_map<algebra::DescriptorId, WinnerProv> prov;
+  /// Serial memos only: ids of the groups holding an expression with a
+  /// child in this group (raw ids, possibly repeated; resolve with Find).
+  /// A merge walks the merged-away group's list to find the parents whose
+  /// expressions may have become twins.
+  std::vector<GroupId> parents;
+  /// Serial memos only: some expression here was indexed before one of its
+  /// child groups merged, so its index key is stale and an insert's index
+  /// probe can miss it. Appends to such a group check it for a twin.
+  bool stale_keys = false;
   /// Guards expression appends and the winner tables in concurrent mode.
   mutable std::mutex mu;
 };
@@ -155,7 +172,9 @@ struct MemoTallies {
   uint64_t groups_created = 0;   ///< NewGroup calls.
   uint64_t groups_merged = 0;    ///< Equivalence merges performed.
   uint64_t exprs_inserted = 0;   ///< Multi-expressions actually added.
-  uint64_t exprs_deduped = 0;    ///< Inserts resolved to an existing expr.
+  /// Inserts resolved to an existing expr, plus expressions flagged as
+  /// twins (MExpr::twin) of an earlier expression of their group.
+  uint64_t exprs_deduped = 0;
   uint64_t arena_bytes = 0;      ///< Arena bytes backing groups + exprs.
 };
 
@@ -288,6 +307,15 @@ class Memo {
   /// flavor) in concurrent mode.
   GroupId FindDup(const IndexShard& sh, uint64_t key, const MExpr& m) const;
   common::Status Merge(GroupId keep, GroupId lose);
+  /// Serial mode: records canonical group `g` as a parent of each of
+  /// `m`'s child groups.
+  void LinkParents(GroupId g, const MExpr& m);
+  /// Serial mode: index of the non-twin expression of `grp` identical to
+  /// `m`, or -1 (a linear scan, for groups whose index keys went stale).
+  int FindLiveCopy(const Group& grp, const MExpr& m) const;
+  /// Serial mode: flags every expression of `grp` identical to an earlier
+  /// live one (after a merge changed what its children resolve to).
+  void FlagTwins(Group& grp);
   common::Result<GroupId> NewGroupLocked(MExpr m, algebra::DescriptorId desc,
                                          uint64_t key, IndexShard& sh);
   /// Serial fast paths (no locks, original algorithm).

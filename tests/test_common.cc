@@ -19,6 +19,7 @@
 #include "common/strings.h"
 #include "common/timeseries.h"
 #include "common/trace.h"
+#include "golden.h"
 
 namespace prairie::common {
 namespace {
@@ -431,11 +432,12 @@ TEST(MetricsHistogram, PercentileWalksCumulativeCounts) {
   for (int i = 0; i < 90; ++i) h.Observe(1);
   for (int i = 0; i < 10; ++i) h.Observe(1000);
   HistogramSnapshot s = h.Snapshot();
-  // Rank 50 and rank 90 both land in bucket 1 (cumulative 90); rank 99
-  // lands in the 1000s bucket, reported as its upper bound 1023.
+  // Ranks 50 and 90 both land in bucket 1 = [1, 1] (cumulative 90).
+  // Rank 99 is the 9th of the 10 samples in bucket 10 = [512, 1023]:
+  // 512 + 511 * 9/10, not the bucket's upper bound 1023.
   EXPECT_DOUBLE_EQ(s.Percentile(50), 1.0);
   EXPECT_DOUBLE_EQ(s.Percentile(90), 1.0);
-  EXPECT_DOUBLE_EQ(s.Percentile(99), 1023.0);
+  EXPECT_DOUBLE_EQ(s.Percentile(99), 512 + 511 * 0.9);
   EXPECT_DOUBLE_EQ(HistogramSnapshot{}.Percentile(50), 0.0);
 }
 
@@ -451,10 +453,10 @@ TEST(MetricsHistogram, PercentileSingleSample) {
   Histogram h;
   h.Observe(100);  // Bucket 7: [64, 127].
   const HistogramSnapshot s = h.Snapshot();
-  // Every percentile of a one-sample distribution is that sample's
-  // bucket upper bound, including the p0 edge (rank 0 clamps to 1).
-  EXPECT_DOUBLE_EQ(s.Percentile(0), 127.0);
-  EXPECT_DOUBLE_EQ(s.Percentile(50), 127.0);
+  // A one-sample distribution spreads over its bucket by rank: p0 is the
+  // lower bound, p100 the upper bound, p50 the midpoint.
+  EXPECT_DOUBLE_EQ(s.Percentile(0), 64.0);
+  EXPECT_DOUBLE_EQ(s.Percentile(50), 95.5);
   EXPECT_DOUBLE_EQ(s.Percentile(100), 127.0);
 }
 
@@ -464,7 +466,8 @@ TEST(MetricsHistogram, PercentileEndpointsSpanTheDistribution) {
   for (int i = 0; i < 8; ++i) h.Observe(2);
   h.Observe(1 << 20);
   const HistogramSnapshot s = h.Snapshot();
-  // p0 is the smallest occupied bucket, p100 the largest.
+  // p0 is the lower bound of the smallest occupied bucket, p100 the upper
+  // bound of the largest.
   EXPECT_DOUBLE_EQ(s.Percentile(0), 0.0);
   EXPECT_DOUBLE_EQ(s.Percentile(100), (1 << 21) - 1);
 }
@@ -668,13 +671,13 @@ TEST(TimeSeries, HistogramPercentilesCoverOnlyTheWindow) {
   opt.interval_ms = 0;
   TimeSeriesWriter w(&reg, &out, opt);
 
-  // Window 1: fast observations only. 100 has bit width 7, so every
-  // percentile is that bucket's upper bound 2^7 - 1 = 127.
+  // Window 1: fast observations only. 100 has bit width 7, so p50 is the
+  // midpoint of bucket [64, 127]: 95.5.
   for (int i = 0; i < 8; ++i) h->Observe(100);
   ASSERT_TRUE(w.ScrapeAt(10));
   // Window 2: slow observations only. If the delta leaked the cumulative
   // distribution, the 8 fast samples would drag p50 back down to 127;
-  // over the window alone it is 2^17 - 1 = 131071.
+  // over the window alone it is the midpoint of [65536, 131071].
   for (int i = 0; i < 8; ++i) h->Observe(100000);
   ASSERT_TRUE(w.ScrapeAt(20));
 
@@ -683,35 +686,14 @@ TEST(TimeSeries, HistogramPercentilesCoverOnlyTheWindow) {
   std::string w2;
   ASSERT_TRUE(std::getline(lines, w1));
   ASSERT_TRUE(std::getline(lines, w2));
-  EXPECT_NE(w1.find("\"count\":8,\"sum\":800,\"p50\":127"),
+  EXPECT_NE(w1.find("\"count\":8,\"sum\":800,\"p50\":95.5"),
             std::string::npos)
       << w1;
   EXPECT_NE(w1.find("\"buckets\":[[127,8]]"), std::string::npos) << w1;
-  EXPECT_NE(w2.find("\"count\":8,\"sum\":800000,\"p50\":131071"),
+  EXPECT_NE(w2.find("\"count\":8,\"sum\":800000,\"p50\":98303.5"),
             std::string::npos)
       << w2;
   EXPECT_NE(w2.find("\"buckets\":[[131071,8]]"), std::string::npos) << w2;
-}
-
-/// Compares `got` against the committed golden file, or rewrites it when
-/// PRAIRIE_REGEN_GOLDEN is set (run from a checkout, then commit the
-/// diff) — the test_volcano memo-dump discipline.
-void CheckGolden(const std::string& got, const std::string& name) {
-  const std::string path = std::string(PRAIRIE_TEST_DIR "/golden/") + name;
-  if (std::getenv("PRAIRIE_REGEN_GOLDEN") != nullptr) {
-    std::ofstream out(path, std::ios::out | std::ios::trunc);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << got;
-    return;
-  }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << "missing golden file " << path
-                         << " (regenerate with PRAIRIE_REGEN_GOLDEN=1)";
-  std::ostringstream want;
-  want << in.rdbuf();
-  EXPECT_EQ(got, want.str())
-      << "time-series stream drifted from " << path
-      << " (regenerate with PRAIRIE_REGEN_GOLDEN=1 and review the diff)";
 }
 
 TEST(TimeSeries, GoldenJsonLinesStream) {
@@ -741,7 +723,7 @@ TEST(TimeSeries, GoldenJsonLinesStream) {
   h->Observe(12);
   ASSERT_TRUE(w.ScrapeAt(400));
 
-  CheckGolden(out.str(), "timeseries.jsonl");
+  golden::Check(out.str(), "timeseries.jsonl");
 }
 
 }  // namespace

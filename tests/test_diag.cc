@@ -109,7 +109,8 @@ TEST(DiagCheck, AdaptiveSuppressedUntilHistogramHasBaseline) {
 
 TEST(DiagCheck, AdaptiveFiresAgainstTheRunningP99) {
   common::Histogram hist;
-  // p99 upper bound of 1ms samples: 2^20 - 1 ns (~1.05ms).
+  // p99 of 1ms samples, interpolated in bucket [2^19, 2^20 - 1] ns:
+  // ~1.04ms.
   for (int i = 0; i < 512; ++i) hist.Observe(1'000'000);
   DiagOptions opt;
   opt.adaptive_k = 2;

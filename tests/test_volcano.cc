@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "catalog/catalog.h"
+#include "golden.h"
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "optimizers/oodb.h"
@@ -499,6 +500,129 @@ TEST_F(MicroOptimizer, LogicalPropsExcludedFromIdentity) {
   EXPECT_NE(memo.Find(g1), memo.Find(g3));
 }
 
+// Twins: a merge of two child groups of one parent group makes the
+// parent's expressions over them identical. The later copy is flagged, and
+// the engine neither expands, binds nor implements it.
+class TwinTest : public MicroOptimizer {
+ protected:
+  void SetUp() override {
+    MicroOptimizer::SetUp();
+    // A probe whose LHS descends into its left input's group: its
+    // condition counts every binding it is offered and declines.
+    std::vector<algebra::PatNodePtr> kids;
+    kids.push_back(PatNode::Op(join_, 3, MakeStreams()));
+    kids.push_back(PatNode::Stream(3, 2));
+    TransRule probe;
+    probe.name = "probe";
+    probe.lhs = PatNode::Op(join_, 4, std::move(kids));
+    probe.rhs = PatNode::Op(join_, 5, MakeStreams());
+    probe.num_slots = 6;
+    int* bindings = &probe_bindings_;
+    probe.condition = [bindings](BindingView&) -> common::Result<bool> {
+      ++*bindings;
+      return false;
+    };
+    rules_.trans_rules.push_back(std::move(probe));
+    ASSERT_TRUE(rules_.Finalize().ok());
+  }
+
+  ExprPtr Query() {
+    return JoinOf(JoinOf(RetOf("A", 10), RetOf("B", 20), 5), RetOf("D", 40),
+                  2);
+  }
+
+  /// Copies in Query(), then proves RET(C) equivalent to RET(B) by a
+  /// merge. With `twin`, the inner join's group first gets JOIN(A, C),
+  /// which the merge turns into a copy of its JOIN(A, B). Returns the
+  /// inner join's group.
+  GroupId Build(Memo* memo, bool twin) {
+    const GroupId top = *memo->CopyIn(*Query());
+    const GroupId join = memo->group(top).exprs[0].children[0];
+    const GroupId b = memo->group(join).exprs[0].children[1];
+    const GroupId c = *memo->CopyIn(*RetOf("C", 20));
+    if (twin) {
+      MExpr m = memo->group(join).exprs[0];
+      m.children[1] = c;
+      EXPECT_TRUE(*memo->InsertInto(join, std::move(m)));
+    }
+    EXPECT_FALSE(*memo->InsertInto(b, memo->group(c).exprs[0]));
+    EXPECT_EQ(memo->Find(b), memo->Find(c));
+    return join;
+  }
+
+  int probe_bindings_ = 0;
+};
+
+TEST_F(TwinTest, MergedCopyIsFlaggedAndCostsNoSearchWork) {
+  Memo plain_memo(&rules_, MemoLimits{});
+  const GroupId plain_join = Build(&plain_memo, false);
+  Memo memo(&rules_, MemoLimits{});
+  const GroupId join = Build(&memo, true);
+  ASSERT_EQ(join, plain_join);
+
+  // The later expression is the twin; its earlier copy stays live. The
+  // flag is counted as a deduplication.
+  ASSERT_EQ(memo.group(join).exprs.size(), 2u);
+  EXPECT_FALSE(memo.group(join).exprs[0].twin);
+  EXPECT_TRUE(memo.group(join).exprs[1].twin);
+  EXPECT_EQ(memo.tallies().exprs_deduped,
+            plain_memo.tallies().exprs_deduped + 1);
+  EXPECT_EQ(memo.NumExprs(), plain_memo.NumExprs() + 1);
+
+  Optimizer plain(&rules_, &catalog_, OptimizerOptions(), nullptr,
+                  &plain_memo);
+  auto want = plain.Optimize(*Query());
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  const int plain_bindings = probe_bindings_;
+  probe_bindings_ = 0;
+  Optimizer o(&rules_, &catalog_, OptimizerOptions(), nullptr, &memo);
+  auto got = o.Optimize(*Query());
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+
+  // Same winner, and exactly the work of the memo without the twin: the
+  // probe saw the same child bindings, and no rule attempt or costed plan
+  // started from the twin.
+  EXPECT_DOUBLE_EQ(got->cost, want->cost);
+  EXPECT_EQ(got->root->ToString(*rules_.algebra),
+            want->root->ToString(*rules_.algebra));
+  EXPECT_GT(plain_bindings, 0);
+  EXPECT_EQ(probe_bindings_, plain_bindings);
+  EXPECT_EQ(o.stats().trans_attempts, plain.stats().trans_attempts);
+  EXPECT_EQ(o.stats().impl_attempts, plain.stats().impl_attempts);
+  EXPECT_EQ(o.stats().plans_costed, plain.stats().plans_costed);
+  // The twin was never expanded: no rule's applied bit is set on it.
+  const Group& g = memo.group(join);
+  EXPECT_TRUE(g.exprs[0].applied.Test(0));  // commute
+  for (size_t ri = 0; ri < rules_.trans_rules.size(); ++ri) {
+    EXPECT_FALSE(g.exprs[1].applied.Test(static_cast<int>(ri))) << ri;
+  }
+
+  // The dumps still render every expression, twins included.
+  const std::string json = MemoToJson(memo, rules_);
+  const std::string dot = MemoToDot(memo, rules_);
+  size_t exprs = 0;
+  size_t edges = 0;
+  for (size_t i = 0; i < memo.allocated_groups(); ++i) {
+    const GroupId gid = static_cast<GroupId>(i);
+    if (memo.Find(gid) != gid) continue;
+    for (const MExpr& m : memo.group(gid).exprs) {
+      ++exprs;
+      edges += m.children.size();
+    }
+  }
+  auto count = [](const std::string& text, const std::string& what) {
+    size_t n = 0;
+    for (size_t at = text.find(what); at != std::string::npos;
+         at = text.find(what, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(exprs, memo.NumExprs());
+  EXPECT_EQ(count(json, "{\"op\": ") + count(json, "{\"file\": "), exprs);
+  EXPECT_EQ(count(dot, " [label=\"e"), edges);
+}
+
 }  // namespace
 }  // namespace prairie::volcano
 
@@ -811,29 +935,7 @@ TEST_F(ObservabilityTest, StoreStatsAreDeltasUnderASharedStore) {
 
 // Memo inspector: DOT/JSON dumps of the finished search space.
 
-class InspectorTest : public MicroOptimizer {
- protected:
-  /// Compares `got` against the committed golden file, or rewrites the
-  /// golden when PRAIRIE_REGEN_GOLDEN is set (run from a checkout so the
-  /// source tree is writable, then commit the diff).
-  static void CheckGolden(const std::string& got, const std::string& name) {
-    const std::string path = std::string(PRAIRIE_TEST_DIR "/golden/") + name;
-    if (std::getenv("PRAIRIE_REGEN_GOLDEN") != nullptr) {
-      std::ofstream out(path, std::ios::out | std::ios::trunc);
-      ASSERT_TRUE(out.good()) << "cannot write " << path;
-      out << got;
-      return;
-    }
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good()) << "missing golden file " << path
-                           << " (regenerate with PRAIRIE_REGEN_GOLDEN=1)";
-    std::ostringstream want;
-    want << in.rdbuf();
-    EXPECT_EQ(got, want.str())
-        << "memo dump drifted from " << path
-        << " (regenerate with PRAIRIE_REGEN_GOLDEN=1 and review the diff)";
-  }
-};
+class InspectorTest : public MicroOptimizer {};
 
 TEST_F(InspectorTest, GoldenDotAndJsonDumps) {
   // Deterministic micro search: serial store, fixed costs, no
@@ -843,8 +945,8 @@ TEST_F(InspectorTest, GoldenDotAndJsonDumps) {
   auto plan = o.Optimize(*JoinOf(RetOf("A", 10), RetOf("B", 20), 5));
   ASSERT_TRUE(plan.ok());
   EXPECT_DOUBLE_EQ(plan->cost, 210.0);
-  CheckGolden(MemoToDot(o.memo(), rules_), "micro_memo.dot");
-  CheckGolden(MemoToJson(o.memo(), rules_), "micro_memo.json");
+  golden::Check(MemoToDot(o.memo(), rules_), "micro_memo.dot");
+  golden::Check(MemoToJson(o.memo(), rules_), "micro_memo.json");
 }
 
 TEST_F(InspectorTest, MergedGroupsAreCanonicalizedNotDuplicated) {
