@@ -186,6 +186,10 @@ struct ErrorCase {
   const char* expect_substr;
 };
 
+// Without this, gtest prints the case as its raw bytes, i.e. the three
+// string addresses, and the listed test names change from run to run.
+void PrintTo(const ErrorCase& c, std::ostream* os) { *os << c.name; }
+
 class ParserErrorTest : public ::testing::TestWithParam<ErrorCase> {};
 
 TEST_P(ParserErrorTest, ReportsError) {
